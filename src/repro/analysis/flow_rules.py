@@ -361,6 +361,7 @@ _GOVERNED_FUNCTIONS: Sequence[Tuple[str, Tuple[str, ...]]] = (
     ("streams/stream.py", ("_open", "note_batch_pass")),
     ("streams/workspace.py", ("on_insert",)),
     ("columnar/backend.py", ("_absorb", "_materialise")),
+    ("columnar/relation.py", ("from_rows", "sorted_by")),
     ("parallel/pool.py", ("_collect",)),
     ("parallel/worker.py", ("_run_kernel",)),
     ("parallel/shm.py", ("write_result", "read_result")),

@@ -292,6 +292,8 @@ class WorkspaceMeterAccounting(Rule):
             "columnar/fused.py"
         ):
             yield from self._check_kernels(module)
+        if module.in_dir("columnar"):
+            yield from self._check_sweeps(module)
 
     def _check_workspace_call(
         self, module: SourceModule, node: ast.Call
@@ -335,6 +337,28 @@ class WorkspaceMeterAccounting(Rule):
                     "every public kernel must return (output, "
                     "SweepStats) so the backend can mirror it into "
                     "WorkspaceMeter",
+                )
+
+
+    def _check_sweeps(self, module: SourceModule) -> Iterator[Finding]:
+        """Column entry points (``run``, ``run_indexed``, ...) reach the
+        kernels through ``_kernel(...)``; the same body must fold the
+        returned ``SweepStats`` into the meter with ``_absorb(...)``."""
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            called = {
+                sub.func.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Attribute)
+            }
+            if "_kernel" in called and "_absorb" not in called:
+                yield module.finding(
+                    self,
+                    node,
+                    f"{node.name}() runs a kernel without _absorb(); "
+                    "its SweepStats never reach the WorkspaceMeter",
                 )
 
 

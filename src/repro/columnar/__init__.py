@@ -26,6 +26,7 @@ from .backend import (
     ColumnarSelfContainSemijoinDesc,
 )
 from .kernels import SweepStats
+from .pairs import IndexPairs
 from .relation import IntervalColumns
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "ColumnarSelfContainedSemijoin",
     "ColumnarSelfContainSemijoin",
     "ColumnarSelfContainSemijoinDesc",
+    "IndexPairs",
     "IntervalColumns",
     "SweepStats",
 ]

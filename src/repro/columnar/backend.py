@@ -33,6 +33,7 @@ from ..streams.stream import TupleStream
 from . import fused, kernels
 from .fused import LazyPairs
 from .kernels import SweepStats
+from .pairs import IndexPairs
 from .relation import IntervalColumns
 
 
@@ -68,7 +69,9 @@ class ColumnarProcessor(StreamProcessor):
     def _drain(self, stream: TupleStream) -> IntervalColumns:
         """One batch pass over a stream, charged to its counters exactly
         like cursor reads (cf. ``mirror_stream``: reading below the
-        single-buffer cursor, straight from the source factory).
+        single-buffer cursor, straight from the source factory).  A
+        stream over columns (``TupleStream.from_columns``) hands them
+        over as they are.
 
         Under QUARANTINE the batch shortcut would bypass the cursor's
         side-channel, so the drain goes through the cursor instead and
@@ -78,11 +81,13 @@ class ColumnarProcessor(StreamProcessor):
             return IntervalColumns.from_tuples(
                 rows, order=stream.order, name=stream.name, presorted=True
             )
-        rows = list(stream._source_factory())
-        stream.note_batch_pass(len(rows))
-        columns = IntervalColumns.from_tuples(
-            rows, order=stream.order, name=stream.name, presorted=True
-        )
+        columns = stream.columns
+        if columns is None:
+            rows = list(stream._source_factory())
+            columns = IntervalColumns.from_tuples(
+                rows, order=stream.order, name=stream.name, presorted=True
+            )
+        stream.note_batch_pass(len(columns))
         if stream.verify_order:
             try:
                 columns.verify_order()
@@ -120,10 +125,25 @@ class ColumnarProcessor(StreamProcessor):
     # ------------------------------------------------------------------
     def _kernel(
         self, x: IntervalColumns, y: Optional[IntervalColumns]
-    ) -> Tuple[list, SweepStats]:
+    ) -> Tuple[object, SweepStats]:
+        """Run the cell's kernel; returns its raw output and stats."""
         raise NotImplementedError
 
-    def _materialise(self) -> list:
+    def _payloads(
+        self, raw, x: IntervalColumns, y: Optional[IntervalColumns]
+    ) -> list:
+        """Raw kernel output as payload tuples / pairs."""
+        raise NotImplementedError
+
+    def _indexes(
+        self, raw, x: IntervalColumns, y: Optional[IntervalColumns]
+    ) -> IndexPairs:
+        """Raw kernel output as positions into ``x`` (and ``y``)."""
+        raise NotImplementedError
+
+    def _materialise(self) -> tuple:
+        """Drain, checkpoint, sweep, and mirror the accounting; returns
+        ``(raw kernel output, x columns, y columns)``."""
         x_cols = self._drain(self.x)
         y_cols = self._drain(self.y) if self.y is not None else None
         token = active_token()
@@ -132,17 +152,26 @@ class ColumnarProcessor(StreamProcessor):
             # kernel sweep (the drains above checked at their pass
             # boundaries).
             token.check()
-        out, stats = self._kernel(x_cols, y_cols)
+        raw, stats = self._kernel(x_cols, y_cols)
         self._absorb(stats)
-        return out
+        return raw, x_cols, y_cols
 
     def _execute(self) -> Iterator:
-        yield from self._materialise()
+        yield from self._payloads(*self._materialise())
 
     def run(self) -> list:
         """Batch fast path: one kernel call, no per-item generator
         frames.  Semantics match ``list(self)`` exactly (single use,
         output counting, metric finalisation)."""
+        return self._run_batch(self._payloads)
+
+    def run_indexed(self) -> IndexPairs:
+        """:meth:`run`, but the output stays positions into the drained
+        columns (:class:`~repro.columnar.pairs.IndexPairs`) — the query
+        path's result, which needs no payloads at all."""
+        return self._run_batch(self._indexes)
+
+    def _run_batch(self, emit):
         if self._consumed:
             raise ExecutionError(
                 f"{self.operator} has already been executed; stream "
@@ -162,7 +191,7 @@ class ColumnarProcessor(StreamProcessor):
             if pause_gc:
                 gc.disable()
             try:
-                out = self._materialise()
+                out = emit(*self._materialise())
             finally:
                 if pause_gc:
                     gc.enable()
@@ -179,12 +208,17 @@ class _SemijoinKernelMixin:
     kernel = None  # staticmethod set by subclasses
 
     def _kernel(self, x, y):
-        idx, stats = type(self).kernel(
+        return type(self).kernel(
             x.ts, x.te, y.ts, y.te,
             limit=self.meter.limit, trace=self.meter.trace,
         )
+
+    def _payloads(self, idx, x, y):
         payload = x.payload
-        return [payload[i] for i in idx], stats
+        return [payload[i] for i in idx]
+
+    def _indexes(self, idx, x, y):
+        return IndexPairs.of(idx)
 
 
 class _JoinKernelMixin:
@@ -194,25 +228,28 @@ class _JoinKernelMixin:
     kernel = None
 
     def _kernel(self, x, y):
-        (xi, yj), stats = type(self).kernel(
+        return type(self).kernel(
             x.ts, x.te, y.ts, y.te,
             limit=self.meter.limit, trace=self.meter.trace,
         )
+
+    def _payloads(self, raw, x, y):
+        xi, yj = raw
         xp, yp = x.payload, y.payload
-        return list(zip([xp[i] for i in xi], [yp[j] for j in yj])), stats
+        return list(zip([xp[i] for i in xi], [yp[j] for j in yj]))
+
+    def _indexes(self, raw, x, y):
+        xi, yj = raw
+        return IndexPairs.of(xi, yj)
 
 
-class _SelfKernelMixin:
+class _SelfKernelMixin(_SemijoinKernelMixin):
     """Unary self semijoins: kernel sees only the X columns."""
 
-    kernel = None
-
     def _kernel(self, x, y):
-        idx, stats = type(self).kernel(
+        return type(self).kernel(
             x.ts, x.te, limit=self.meter.limit, trace=self.meter.trace
         )
-        payload = x.payload
-        return [payload[i] for i in idx], stats
 
 
 # ----------------------------------------------------------------------
@@ -328,21 +365,19 @@ class FusedProcessor(ColumnarProcessor):
     slot_bound: str = "active-intervals"
 
 
-class _FusedJoinKernelMixin:
+class _FusedJoinKernelMixin(_JoinKernelMixin):
     """Fused joins: the kernel emits :class:`~repro.columnar.fused.
-    JoinRuns` run descriptors; the processor wraps them in
+    JoinRuns` run descriptors; :meth:`run` wraps them in
     :class:`~repro.columnar.fused.LazyPairs` so payload pairs only
     materialise when the caller actually touches them (``len()``,
-    metrics, and EXPLAIN stay O(1))."""
+    metrics, and EXPLAIN stay O(1)), and :meth:`run_indexed` expands
+    them straight to index columns."""
 
-    kernel = None
+    def _payloads(self, runs, x, y):
+        return LazyPairs(runs, x.payload, y.payload)
 
-    def _kernel(self, x, y):
-        runs, stats = type(self).kernel(
-            x.ts, x.te, y.ts, y.te,
-            limit=self.meter.limit, trace=self.meter.trace,
-        )
-        return LazyPairs(runs, x.payload, y.payload), stats
+    def _indexes(self, runs, x, y):
+        return IndexPairs(*runs.index_columns())
 
 
 # ----------------------------------------------------------------------

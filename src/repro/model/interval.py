@@ -22,7 +22,8 @@ Note the two distinct notions of "overlap" used by the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Protocol
+from operator import lt
+from typing import Iterator, Optional, Protocol, Sequence
 
 from ..errors import InvalidIntervalError
 from .time_domain import Timepoint, validate_timepoint
@@ -277,6 +278,22 @@ def covers_point(t: HasLifespan, point: float) -> bool:
 def is_valid_lifespan(t: HasLifespan) -> bool:
     """The intra-tuple integrity constraint ``ValidFrom < ValidTo``."""
     return t.valid_from < t.valid_to
+
+
+def first_invalid_lifespan(
+    starts: Sequence[int], ends: Sequence[int]
+) -> Optional[int]:
+    """Column form of :func:`is_valid_lifespan`: the first position
+    whose ``ValidFrom < ValidTo`` fails across two parallel endpoint
+    columns, or ``None`` when every lifespan is well formed.  The clean
+    case is one C-level pass."""
+    if all(map(lt, starts, ends)):
+        return None
+    return next(
+        position
+        for position, valid in enumerate(map(lt, starts, ends))
+        if not valid
+    )
 
 
 def lifespan_key(t: HasLifespan) -> tuple:

@@ -145,6 +145,8 @@ def build_record(
         "metrics": _metrics_snapshot(),
         "trace": _trace_summary(getattr(result, "trace", None)),
     }
+    if record["backend"] is None and record["stream_joins"]:
+        record["backend"] = record["stream_joins"][0].get("backend")
     if record["backend"] is None and record["shards"]:
         record["backend"] = record["shards"][0].get("backend")
     return record
@@ -160,6 +162,7 @@ def _stream_join_entries(result: Optional[object]) -> Optional[list]:
             "operator": info.operator.value,
             "swapped": info.swapped,
             "chosen": info.chosen,
+            "backend": getattr(info, "backend", None),
             "output_rows": info.output_rows,
             "recovery": info.recovery,
             "wall_seconds": round(info.wall_seconds, 6),

@@ -49,14 +49,20 @@ class CostModel:
     parallel_tuple_ship: float = 0.0002
     #: Largest shard count the cost model will consider.
     max_parallel_workers: int = 8
-    #: Per-tuple CPU discount of the columnar batch-sweep backend
-    #: relative to tuple-at-a-time (measured ~0.17x on the Fig-5
-    #: contain-join @100k; 0.25 is the conservative planning value).
-    columnar_cpu_factor: float = 0.25
-    #: Per-tuple CPU discount of the fused endpoint-event sweep backend
-    #: (measured ~0.08x on the same configuration; one merged sweep,
-    #: binary-search probes, lazy join materialisation).
-    fused_cpu_factor: float = 0.1
+    #: Per-tuple CPU price of the columnar batch-sweep backend relative
+    #: to tuple-at-a-time, fitted end to end: the query benchmark's
+    #: traced forced-backend rows (``querybench/run.py --trace 1``,
+    #: ``streams.sweep_s + optimizer.pairs_s``: sweep plus index-pair
+    #: output, everything the backend choice changes), seed 1 on a
+    #: shared 2-CPU VM.  Fig-5 during: tuple 0.223 s, columnar 0.029 s,
+    #: fused 0.045 s; shuffled Table-2 overlap: tuple 0.248 s, columnar
+    #: 0.031 s, fused 0.055 s.  Columnar = 0.13x on both.
+    columnar_cpu_factor: float = 0.13
+    #: Per-tuple CPU price of the fused endpoint-event sweep backend,
+    #: from the same rows: 0.20x and 0.22x.  Its sweep-only lead
+    #: (binary-search probes, run descriptors) is spent expanding the
+    #: runs to index pairs, so end to end it trails columnar.
+    fused_cpu_factor: float = 0.21
 
     # ------------------------------------------------------------------
     # building blocks
@@ -131,6 +137,7 @@ class CostModel:
         expected_workspace: float,
         workers: int,
         replicated: float = 0.0,
+        backend: str = "tuple",
     ) -> float:
         """One time-domain-partitioned pass with ``workers`` shards.
 
@@ -140,17 +147,18 @@ class CostModel:
         where the cuts fall (the shard-local bound equals the Table-1/2
         bound).  The coordinator pays a per-worker startup price and a
         per-tuple ship/merge price, which is what makes serial win on
-        small inputs.
+        small inputs.  Each shard runs on ``backend``.
         """
         if workers <= 1:
             return self.stream_pass_cost(
-                x_tuples, y_tuples, expected_workspace
+                x_tuples, y_tuples, expected_workspace, backend=backend
             )
         shipped_y = y_tuples + replicated
-        per_shard = (
-            self.scan_cost(math.ceil(x_tuples / workers))
-            + self.scan_cost(math.ceil(shipped_y / workers))
-            + expected_workspace * self.workspace_tuple
+        per_shard = self.stream_pass_cost(
+            math.ceil(x_tuples / workers),
+            math.ceil(shipped_y / workers),
+            expected_workspace,
+            backend=backend,
         )
         coordination = (
             workers * self.parallel_worker_startup
@@ -183,6 +191,7 @@ def choose_shard_count(
     expected_workspace: float,
     max_workers: int,
     available_cpus: Optional[int] = None,
+    backend: str = "tuple",
 ) -> int:
     """The cheapest shard count in [1, max_workers] under the model.
 
@@ -202,7 +211,10 @@ def choose_shard_count(
     ceiling = max(1, min(max_workers, model.max_parallel_workers, cpus))
     per_cut = expected_replication_per_cut(x_stats, y_stats)
     best_workers, best_cost = 1, model.stream_pass_cost(
-        x_stats.cardinality, y_stats.cardinality, expected_workspace
+        x_stats.cardinality,
+        y_stats.cardinality,
+        expected_workspace,
+        backend=backend,
     )
     for workers in range(2, ceiling + 1):
         cost = model.parallel_stream_cost(
@@ -211,6 +223,7 @@ def choose_shard_count(
             expected_workspace,
             workers,
             replicated=(workers - 1) * per_cut,
+            backend=backend,
         )
         if cost < best_cost:
             best_workers, best_cost = workers, cost

@@ -15,17 +15,24 @@ TQuel general overlap under the intra-tuple background
 (:func:`repro.semantic.recognize.recognize_allen`), so rephrased or
 padded conditions are still recognised.
 
-Row/tuple bridging: each input row becomes a
-:class:`~repro.model.tuples.TemporalTuple` whose *surrogate is the row
-index*, so the stream operators (which only inspect endpoints for the
-inequality operators) run unchanged and every output pair maps back to
-its original rows losslessly — duplicates included.
+Rows to columns: the join's child rows become
+:class:`~repro.columnar.relation.IntervalColumns` read straight from
+their endpoint attributes, the planner returns one
+:class:`~repro.columnar.pairs.IndexPairs` of row positions whichever
+backend ran, and the output rows are gathered once — every output pair
+maps back to its original rows losslessly, duplicates included.  Only
+a tuple-at-a-time alternative (the paper-faithful tuple backend, the
+nested loop, the recovery ladder, inline shards) builds
+:class:`~repro.model.tuples.TemporalTuple` objects, and only when the
+planner chose it.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
+from operator import add
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -38,9 +45,9 @@ from ..algebra.logical import LJoin, LogicalPlan
 from ..algebra.physical import Catalog, _compile  # shared leaf compiler
 from ..allen.relations import AllenRelation
 from ..allen.symbolic import Comparison, Endpoint, EndpointKind
+from ..columnar.pairs import IndexPairs
+from ..columnar.relation import IntervalColumns
 from ..errors import PlanningError
-from ..model.relation import TemporalRelation
-from ..model.tuples import TemporalSchema, TemporalTuple
 from ..relational.expressions import Compare
 from ..relational.operators import EngineStats, Operator
 from ..relational.schema import Row, RowSchema
@@ -82,6 +89,11 @@ class StreamJoinInfo:
     #: (``shard_runs``), and the containment counters — the audit
     #: record's source when the run was untraced.
     parallel: Optional[dict] = None
+    #: Physical backend that produced the rows ("tuple", "columnar" or
+    #: "fused"; nested loops are tuple-at-a-time), read from the
+    #: metrics of what actually ran — a workspace-overflow fallback
+    #: reports the nested loop's backend, not the planned one.
+    backend: Optional[str] = None
 
 
 @dataclass
@@ -175,6 +187,11 @@ def execute_hybrid(
     :class:`~repro.governance.QueryBudget`; when the caller already
     installed a token (e.g. ``run_query(deadline=...)``), the existing
     token governs and ``budget`` is ignored.
+
+    Without an explicit ``planner`` the stream joins run on the
+    cost-picked backend (``TemporalJoinPlanner(backend="auto")``);
+    pass ``planner=TemporalJoinPlanner(backend="tuple")`` for the
+    paper-faithful tuple-at-a-time reference.
     """
     if budget is not None:
         from ..governance.budget import active_token, governed
@@ -193,7 +210,9 @@ def execute_hybrid(
 
         report = ExecutionReport()
     execution.execution_report = report
-    chooser = planner or TemporalJoinPlanner(parallelism=parallelism)
+    chooser = planner or TemporalJoinPlanner(
+        backend="auto", parallelism=parallelism
+    )
     operator = _build(
         plan, catalog, stats, chooser, execution, recovery, report
     )
@@ -303,46 +322,6 @@ def _rebuild_node(plan, built_children) -> Operator:
     raise PlanningError(f"hybrid executor cannot rebuild {plan!r}")
 
 
-_BRIDGE_SCHEMA = TemporalSchema("bridge", "RowIndex", "Payload")
-
-
-def _rows_to_relation(
-    rows: list[Row], schema: RowSchema, variable: str
-) -> TemporalRelation:
-    """Rows -> temporal tuples with row-index surrogates.
-
-    Projection pushdown may have pruned an endpoint the recognised
-    operator never reads (Before/After mention only one endpoint per
-    side); the missing one is synthesised one timepoint away so the
-    tuple is well-formed, without affecting the operator's predicate.
-    """
-    from_name = f"{variable}.ValidFrom"
-    to_name = f"{variable}.ValidTo"
-    has_from = from_name in schema
-    has_to = to_name in schema
-    if not has_from and not has_to:
-        raise PlanningError(
-            f"neither endpoint of {variable!r} survives in the schema"
-        )
-    read_from = schema.reader(from_name) if has_from else None
-    read_to = schema.reader(to_name) if has_to else None
-    tuples = []
-    for index, row in enumerate(rows):
-        start = read_from(row) if read_from else read_to(row) - 1
-        end = read_to(row) if read_to else read_from(row) + 1
-        tuples.append(TemporalTuple(index, None, start, end))
-    return TemporalRelation(_BRIDGE_SCHEMA, tuples)
-
-
-def _single_variable(plan: LogicalPlan) -> str:
-    variables = plan.variables()
-    if len(variables) != 1:
-        raise PlanningError(
-            "stream join sides must each bind exactly one range variable"
-        )
-    return next(iter(variables))
-
-
 def _stream_join(
     left: Operator,
     right: Operator,
@@ -355,56 +334,78 @@ def _stream_join(
 ) -> list[Row]:
     left_rows = left.run()
     right_rows = right.run()
-    left_var = _variable_of_schema(left.schema)
-    right_var = _variable_of_schema(right.schema)
-    left_relation = _rows_to_relation(left_rows, left.schema, left_var)
-    right_relation = _rows_to_relation(right_rows, right.schema, right_var)
+    left_cols = IntervalColumns.from_rows(
+        left_rows, left.schema, _variable_of_schema(left.schema)
+    )
+    right_cols = IntervalColumns.from_rows(
+        right_rows, right.schema, _variable_of_schema(right.schema)
+    )
     tracer = get_tracer()
     started = time.perf_counter()
     with tracer.span(
         f"stream-join:{operator_kind.value}", swapped=swapped
     ) as span:
         if swapped:
-            results, profile = planner.execute(
+            pairs, profile = planner.execute_columns(
                 operator_kind,
-                right_relation,
-                left_relation,
+                right_cols,
+                left_cols,
                 recovery=recovery,
                 report=report,
             )
-            pairs = [(b.surrogate, a.surrogate) for a, b in results]
+            pairs = pairs.swapped()
         else:
-            results, profile = planner.execute(
+            pairs, profile = planner.execute_columns(
                 operator_kind,
-                left_relation,
-                right_relation,
+                left_cols,
+                right_cols,
                 recovery=recovery,
                 report=report,
             )
-            pairs = [(a.surrogate, b.surrogate) for a, b in results]
         if tracer.enabled:
             span.set(output_rows=len(pairs))
+    metrics = profile.metrics
     execution.stream_joins.append(
         StreamJoinInfo(
             operator=operator_kind,
             swapped=swapped,
             chosen=profile.chosen.describe(),
             workspace_high_water=(
-                profile.metrics.workspace_high_water
-                if profile.metrics
-                else 0
+                metrics.workspace_high_water if metrics else 0
             ),
             output_rows=len(pairs),
             recovery=recovery.value if recovery is not None else None,
-            metrics=profile.metrics,
+            metrics=metrics,
             wall_seconds=time.perf_counter() - started,
             parallel=_parallel_details(profile.details),
+            backend=metrics.backend if metrics else None,
         )
     )
-    return [
-        left_rows[left_index] + right_rows[right_index]
-        for left_index, right_index in pairs
-    ]
+    return _gather_rows(left_rows, right_rows, pairs)
+
+
+def _gather_rows(
+    left_rows: list[Row], right_rows: list[Row], pairs: IndexPairs
+) -> list[Row]:
+    """Output rows, one C-level pass: ``left[xi[k]] + right[yj[k]]``.
+    The concatenated rows are acyclic, so the cyclic collector is
+    paused rather than left to re-scan the growing list."""
+    if pairs.yj is None:
+        raise PlanningError("a stream join must produce row pairs")
+    pause_gc = gc.isenabled()
+    if pause_gc:
+        gc.disable()
+    try:
+        return list(
+            map(
+                add,
+                map(left_rows.__getitem__, pairs.xi),
+                map(right_rows.__getitem__, pairs.yj),
+            )
+        )
+    finally:
+        if pause_gc:
+            gc.enable()
 
 
 def _parallel_details(details: dict) -> Optional[dict]:

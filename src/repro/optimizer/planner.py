@@ -20,11 +20,13 @@ data instances".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..governance.budget import QueryBudget
 
+from ..columnar.pairs import IndexPairs
+from ..columnar.relation import IntervalColumns
 from ..errors import (
     PlanStateError,
     UnsupportedBackendError,
@@ -34,7 +36,7 @@ from ..model.relation import TemporalRelation
 from ..model.sortorder import order_satisfies
 from ..obs.trace import get_tracer
 from ..resilience.recovery import ExecutionReport, RecoveryPolicy
-from ..stats.estimators import collect_statistics
+from ..stats.estimators import column_statistics
 from ..streams.metrics import ProcessorMetrics
 from ..streams.processors.baseline import (
     NestedLoopJoin,
@@ -70,6 +72,29 @@ _SEMIJOINS = {
     TemporalOperator.OVERLAP_SEMIJOIN,
     TemporalOperator.BEFORE_SEMIJOIN,
 }
+
+#: Operators whose output is (x, y) pairs rather than X tuples.
+_JOINS = frozenset(
+    {
+        TemporalOperator.CONTAIN_JOIN,
+        TemporalOperator.OVERLAP_JOIN,
+        TemporalOperator.BEFORE_JOIN,
+    }
+)
+
+#: An operand as the planner accepts it: a relation, or its endpoint
+#: columns (the query path).
+Operand = Union[TemporalRelation, IntervalColumns]
+
+
+def _columns_of(operand: Operand, name: str) -> IntervalColumns:
+    """Endpoint columns of an operand; a relation's tuples ride along
+    as the payload column, in its declared order."""
+    if isinstance(operand, IntervalColumns):
+        return operand
+    return IntervalColumns.from_tuples(
+        operand.tuples, order=operand.order, name=name, presorted=True
+    )
 
 
 @dataclass(frozen=True)
@@ -187,22 +212,30 @@ class TemporalJoinPlanner:
     def alternatives(
         self,
         operator: TemporalOperator,
-        x_relation: TemporalRelation,
-        y_relation: TemporalRelation,
+        x_relation: Operand,
+        y_relation: Operand,
     ) -> list[Alternative]:
+        """Every costed alternative, cheapest first.  Statistics come
+        from the operands' endpoint columns."""
         model = self.cost_model
-        x_stats = collect_statistics(x_relation)
-        y_stats = collect_statistics(y_relation)
+        x_cols = _columns_of(x_relation, "X")
+        y_cols = _columns_of(y_relation, "Y")
+        x_stats = column_statistics(x_cols.ts, x_cols.te)
+        y_stats = column_statistics(y_cols.ts, y_cols.te)
         histogram_peak: Optional[float] = None
         if self.use_histograms:
             from ..stats.histograms import (
-                build_histogram,
+                endpoint_histogram,
                 estimate_peak_workspace,
             )
 
             histogram_peak = estimate_peak_workspace(
-                build_histogram(x_relation, self.histogram_buckets),
-                build_histogram(y_relation, self.histogram_buckets),
+                endpoint_histogram(
+                    x_cols.ts, x_cols.te, self.histogram_buckets
+                ),
+                endpoint_histogram(
+                    y_cols.ts, y_cols.te, self.histogram_buckets
+                ),
             )
         out: list[Alternative] = []
         planner_backends = (
@@ -222,12 +255,12 @@ class TemporalJoinPlanner:
                     sort_x = sort_y = False
                 else:
                     sort_x = not order_satisfies(
-                        x_relation.order, entry.x_order
+                        x_cols.order, entry.x_order
                     )
                     sort_y = (
                         entry.y_order is not None
                         and not order_satisfies(
-                            y_relation.order, entry.y_order
+                            y_cols.order, entry.y_order
                         )
                     )
                 sort_cost = 0.0
@@ -281,6 +314,7 @@ class TemporalJoinPlanner:
                         workspace,
                         self.parallelism,
                         available_cpus=self.available_cpus,
+                        backend=backend,
                     )
                     if workers > 1:
                         per_cut = expected_replication_per_cut(
@@ -292,6 +326,7 @@ class TemporalJoinPlanner:
                             workspace,
                             workers,
                             replicated=(workers - 1) * per_cut,
+                            backend=backend,
                         )
                         out.append(
                             Alternative(
@@ -333,8 +368,8 @@ class TemporalJoinPlanner:
     def choose(
         self,
         operator: TemporalOperator,
-        x_relation: TemporalRelation,
-        y_relation: TemporalRelation,
+        x_relation: Operand,
+        y_relation: Operand,
     ) -> Alternative:
         return self.alternatives(operator, x_relation, y_relation)[0]
 
@@ -350,7 +385,35 @@ class TemporalJoinPlanner:
         recovery: Optional[RecoveryPolicy] = None,
         report: Optional[ExecutionReport] = None,
     ) -> tuple[list, ExecutionProfile]:
+        """Plan, run the winner, and report the profile — on relations,
+        returning their tuples (pairs for joins, X tuples for
+        semijoins).  A thin wrapper over :meth:`execute_columns`, which
+        holds all of the planning and execution semantics."""
+        x_cols = _columns_of(x_relation, "X")
+        y_cols = _columns_of(y_relation, "Y")
+        pairs, profile = self.execute_columns(
+            operator, x_cols, y_cols, workspace_budget, recovery, report
+        )
+        return pairs.gather(x_relation.tuples, y_relation.tuples), profile
+
+    def execute_columns(
+        self,
+        operator: TemporalOperator,
+        x_cols: IntervalColumns,
+        y_cols: IntervalColumns,
+        workspace_budget: Optional[int] = None,
+        recovery: Optional[RecoveryPolicy] = None,
+        report: Optional[ExecutionReport] = None,
+    ) -> tuple[IndexPairs, ExecutionProfile]:
         """Plan, run the winner, and report the profile.
+
+        The operands are endpoint columns and the result is one
+        :class:`~repro.columnar.pairs.IndexPairs` of positions into the
+        rows the columns were built from (``ids`` resolved), whichever
+        alternative ran.  The batch backends sweep the columns and emit
+        positions directly; the tuple backend, the nested loop, the
+        recovery ladder and inline shards run on position-surrogate
+        tuples built from the columns only when chosen.
 
         ``workspace_budget`` caps the stream algorithm's state tuples
         (the paper's finite local workspace).
@@ -382,35 +445,30 @@ class TemporalJoinPlanner:
                 with governed(budget=self.budget):
                     return self._execute_impl(
                         operator,
-                        x_relation,
-                        y_relation,
+                        x_cols,
+                        y_cols,
                         workspace_budget,
                         recovery,
                         report,
                     )
         return self._execute_impl(
-            operator,
-            x_relation,
-            y_relation,
-            workspace_budget,
-            recovery,
-            report,
+            operator, x_cols, y_cols, workspace_budget, recovery, report
         )
 
     def _execute_impl(
         self,
         operator: TemporalOperator,
-        x_relation: TemporalRelation,
-        y_relation: TemporalRelation,
+        x_cols: IntervalColumns,
+        y_cols: IntervalColumns,
         workspace_budget: Optional[int],
         recovery: Optional[RecoveryPolicy],
         report: Optional[ExecutionReport],
-    ) -> tuple[list, ExecutionProfile]:
+    ) -> tuple[IndexPairs, ExecutionProfile]:
         tracer = get_tracer()
         with tracer.span(
             f"plan:{operator.value}", backend=self.backend
         ) as span:
-            ranked = self.alternatives(operator, x_relation, y_relation)
+            ranked = self.alternatives(operator, x_cols, y_cols)
             chosen = ranked[0]
             profile = ExecutionProfile(chosen=chosen, alternatives=ranked)
             if tracer.enabled:
@@ -423,15 +481,15 @@ class TemporalJoinPlanner:
                     sort_y=chosen.sort_y,
                 )
             if chosen.kind == "nested-loop":
-                results, metrics = self._run_nested_loop(
-                    operator, x_relation, y_relation
+                pairs, metrics = self._run_nested_loop(
+                    operator, x_cols, y_cols
                 )
             elif chosen.kind == "parallel-stream":
                 try:
-                    results, metrics = self._run_parallel(
+                    pairs, metrics = self._run_parallel(
                         chosen,
-                        x_relation,
-                        y_relation,
+                        x_cols,
+                        y_cols,
                         workspace_budget,
                         recovery,
                         report,
@@ -442,14 +500,14 @@ class TemporalJoinPlanner:
                         raise
                     profile.details["workspace_overflow"] = True
                     profile.details["fallback"] = "nested-loop"
-                    results, metrics = self._run_nested_loop(
-                        operator, x_relation, y_relation
+                    pairs, metrics = self._run_nested_loop(
+                        operator, x_cols, y_cols
                     )
             elif recovery is not None:
-                results, metrics = self._run_resilient(
+                pairs, metrics = self._run_resilient(
                     chosen,
-                    x_relation,
-                    y_relation,
+                    x_cols,
+                    y_cols,
                     workspace_budget,
                     recovery,
                     report,
@@ -457,23 +515,42 @@ class TemporalJoinPlanner:
                 )
             else:
                 try:
-                    results, metrics = self._run_stream(
-                        chosen, x_relation, y_relation, workspace_budget
+                    pairs, metrics = self._run_stream(
+                        chosen, x_cols, y_cols, workspace_budget
                     )
                 except WorkspaceOverflowError:
                     profile.details["workspace_overflow"] = True
                     profile.details["fallback"] = "nested-loop"
-                    results, metrics = self._run_nested_loop(
-                        operator, x_relation, y_relation
+                    pairs, metrics = self._run_nested_loop(
+                        operator, x_cols, y_cols
                     )
             profile.metrics = metrics
-            return results, profile
+            return pairs, profile
+
+    @staticmethod
+    def _sorted(
+        alternative: Alternative,
+        x_cols: IntervalColumns,
+        y_cols: IntervalColumns,
+    ) -> tuple[RegistryEntry, IntervalColumns, IntervalColumns]:
+        """The alternative's cell plus its operands in the cell's sort
+        orders (stable argsorts; ``ids`` keep the way back)."""
+        entry = alternative.entry
+        if entry is None:
+            raise PlanStateError(
+                f"{alternative.kind} alternative has no registry entry"
+            )
+        if alternative.sort_x:
+            x_cols = x_cols.sorted_by(entry.x_order)
+        if alternative.sort_y and entry.y_order is not None:
+            y_cols = y_cols.sorted_by(entry.y_order)
+        return entry, x_cols, y_cols
 
     def _run_resilient(
         self,
         alternative: Alternative,
-        x_relation: TemporalRelation,
-        y_relation: TemporalRelation,
+        x_cols: IntervalColumns,
+        y_cols: IntervalColumns,
         workspace_budget: Optional[int],
         recovery: RecoveryPolicy,
         report: Optional[ExecutionReport],
@@ -481,19 +558,11 @@ class TemporalJoinPlanner:
     ):
         from ..resilience.executor import execute_entry
 
-        entry = alternative.entry
-        if entry is None:
-            raise PlanStateError(
-                f"{alternative.kind} alternative has no registry entry"
-            )
-        if alternative.sort_x:
-            x_relation = x_relation.sorted_by(entry.x_order)
-        if alternative.sort_y and entry.y_order is not None:
-            y_relation = y_relation.sorted_by(entry.y_order)
+        entry, x_cols, y_cols = self._sorted(alternative, x_cols, y_cols)
         outcome = execute_entry(
             entry,
-            x_relation.tuples,
-            y_relation.tuples,
+            x_cols.to_tuples(),
+            y_cols.to_tuples(),
             backend=alternative.backend,
             policy=recovery,
             workspace_budget=workspace_budget,
@@ -505,13 +574,16 @@ class TemporalJoinPlanner:
             profile.details["fallback"] = [
                 event.kind for event in outcome.report.fallbacks
             ]
-        return outcome.results, outcome.metrics
+        pairs = IndexPairs.from_results(
+            outcome.results, entry.operator in _JOINS
+        )
+        return pairs.remap(x_cols.ids, y_cols.ids), outcome.metrics
 
     def _run_parallel(
         self,
         alternative: Alternative,
-        x_relation: TemporalRelation,
-        y_relation: TemporalRelation,
+        x_cols: IntervalColumns,
+        y_cols: IntervalColumns,
         workspace_budget: Optional[int],
         recovery: Optional[RecoveryPolicy],
         report: Optional[ExecutionReport],
@@ -521,19 +593,11 @@ class TemporalJoinPlanner:
         executor; the recovery ladder applies per shard."""
         from ..parallel import execute_parallel
 
-        entry = alternative.entry
-        if entry is None:
-            raise PlanStateError(
-                f"{alternative.kind} alternative has no registry entry"
-            )
-        if alternative.sort_x:
-            x_relation = x_relation.sorted_by(entry.x_order)
-        if alternative.sort_y and entry.y_order is not None:
-            y_relation = y_relation.sorted_by(entry.y_order)
+        entry, x_cols, y_cols = self._sorted(alternative, x_cols, y_cols)
         outcome = execute_parallel(
             entry,
-            x_relation.tuples,
-            y_relation.tuples if entry.y_order is not None else None,
+            x_cols,
+            y_cols if entry.y_order is not None else None,
             shards=alternative.workers,
             workers=alternative.workers,
             backend=alternative.backend,
@@ -558,27 +622,20 @@ class TemporalJoinPlanner:
                 profile.details["fallback"] = [
                     event.kind for event in outcome.report.fallbacks
                 ]
-        return outcome.results, outcome.metrics
+        pairs = outcome.results.remap(x_cols.ids, y_cols.ids)
+        return pairs, outcome.metrics
 
     def _run_stream(
         self,
         alternative: Alternative,
-        x_relation: TemporalRelation,
-        y_relation: TemporalRelation,
+        x_cols: IntervalColumns,
+        y_cols: IntervalColumns,
         workspace_budget: Optional[int] = None,
     ):
-        entry = alternative.entry
-        if entry is None:
-            raise PlanStateError(
-                f"{alternative.kind} alternative has no registry entry"
-            )
-        if alternative.sort_x:
-            x_relation = x_relation.sorted_by(entry.x_order)
-        if alternative.sort_y and entry.y_order is not None:
-            y_relation = y_relation.sorted_by(entry.y_order)
+        entry, x_cols, y_cols = self._sorted(alternative, x_cols, y_cols)
         processor = entry.build(
-            TupleStream.from_relation(x_relation, name="X"),
-            TupleStream.from_relation(y_relation, name="Y"),
+            TupleStream.from_columns(x_cols, name="X"),
+            TupleStream.from_columns(y_cols, name="Y"),
             backend=alternative.backend,
         )
         if workspace_budget is not None and hasattr(processor, "meter"):
@@ -591,21 +648,32 @@ class TemporalJoinPlanner:
             from ..governance.budget import active_token
 
             processor.meter.token = active_token()
-        results = processor.run()
-        return results, processor.metrics
+        if alternative.backend == "tuple":
+            # Tuple-at-a-time processors read position-surrogate tuples
+            # built from the columns as they go; read them back once.
+            pairs = IndexPairs.from_results(
+                processor.run(), entry.operator in _JOINS
+            )
+        else:
+            pairs = processor.run_indexed()
+        return pairs.remap(x_cols.ids, y_cols.ids), processor.metrics
 
     def _run_nested_loop(
         self,
         operator: TemporalOperator,
-        x_relation: TemporalRelation,
-        y_relation: TemporalRelation,
+        x_cols: IntervalColumns,
+        y_cols: IntervalColumns,
     ):
         predicate = _PREDICATES[operator]
-        x_stream = TupleStream.from_relation(x_relation, name="X")
-        y_stream = TupleStream.from_relation(y_relation, name="Y")
+        x_stream = TupleStream.from_tuples(
+            x_cols.to_tuples(), order=x_cols.order, name="X"
+        )
+        y_stream = TupleStream.from_tuples(
+            y_cols.to_tuples(), order=y_cols.order, name="Y"
+        )
         if operator in _SEMIJOINS:
             processor = NestedLoopSemijoin(x_stream, y_stream, predicate)
         else:
             processor = NestedLoopJoin(x_stream, y_stream, predicate)
-        results = processor.run()
-        return results, processor.metrics
+        pairs = IndexPairs.from_results(processor.run(), operator in _JOINS)
+        return pairs.remap(x_cols.ids, y_cols.ids), processor.metrics

@@ -44,8 +44,9 @@ import os
 import time
 from collections import abc
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
+from ..columnar.pairs import IndexPairs
 from ..columnar.relation import IntervalColumns
 from ..errors import ExecutionError, ReproError
 from ..governance.budget import active_token
@@ -136,12 +137,14 @@ class ShardRun:
 class ParallelOutcome:
     """Merged results plus everything the shards reported.
 
-    ``results`` is list-like; process-mode runs return a
-    :class:`LazyResults` whose payload tuples materialise on first
-    element access (``len()`` is always free).
+    ``results`` is list-like; process-mode runs on tuple lists return
+    a :class:`LazyResults` whose payload tuples materialise on first
+    element access (``len()`` is always free).  Runs on
+    ``IntervalColumns`` return an :class:`~repro.columnar.pairs.
+    IndexPairs` of positions in every mode.
     """
 
-    results: Sequence
+    results: Union[Sequence, IndexPairs]
     report: ExecutionReport
     metrics: ProcessorMetrics
     policy: RecoveryPolicy
@@ -343,56 +346,37 @@ def _shm_tasks(
 class LazyResults(abc.Sequence):
     """Merged shard outputs held as positional index columns.
 
-    The parent half of the zero-copy contract: workers ship shard-local
-    index arrays plus base offsets, and the payload tuples materialise
-    (then cache) only when an element is actually touched.  ``len()``
-    is free, so consumers that need counts alone — EXPLAIN ANALYZE,
-    the metrics layer, cardinality checks — never pay for output
-    object construction.
+    The parent half of the zero-copy contract for tuple-level callers:
+    workers ship shard-local index arrays plus base offsets, merged
+    into one :class:`~repro.columnar.pairs.IndexPairs`, and the payload
+    tuples materialise (then cache) only when an element is actually
+    touched.  ``len()`` is free, so consumers that need counts alone —
+    EXPLAIN ANALYZE, the metrics layer, cardinality checks — never pay
+    for output object construction.
     """
 
-    __slots__ = (
-        "_originals_x",
-        "_originals_y",
-        "_chunks",
-        "_length",
-        "_cache",
-    )
+    __slots__ = ("_originals_x", "_originals_y", "_pairs", "_cache")
 
     def __init__(
         self,
         originals_x: Sequence[TemporalTuple],
         originals_y: Optional[Sequence[TemporalTuple]],
-        chunks: Sequence[tuple],
+        pairs: IndexPairs,
     ):
         self._originals_x = originals_x
         self._originals_y = originals_y
-        self._chunks = chunks
-        self._length = sum(len(chunk[1]) for chunk in chunks)
+        self._pairs = pairs
         self._cache: Optional[list] = None
 
     def _materialised(self) -> list:
         if self._cache is None:
-            ox, oy = self._originals_x, self._originals_y
-            out: list = []
-            for kind, first, second, x_base, y_base in self._chunks:
-                if kind == shm.RESULT_PAIRS:
-                    if oy is None:
-                        raise ExecutionError(
-                            "pair results require Y originals"
-                        )
-                    out.extend(
-                        (ox[x_base + i], oy[y_base + j])
-                        for i, j in zip(first, second)
-                    )
-                else:
-                    out.extend(ox[x_base + i] for i in first)
-            self._cache = out
-            self._chunks = ()  # the index arrays are no longer needed
+            self._cache = self._pairs.gather(
+                self._originals_x, self._originals_y
+            )
         return self._cache
 
     def __len__(self) -> int:
-        return self._length
+        return len(self._pairs)
 
     def __iter__(self):
         return iter(self._materialised())
@@ -402,7 +386,7 @@ class LazyResults(abc.Sequence):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "materialised" if self._cache is not None else "lazy"
-        return f"LazyResults(n={self._length}, {state})"
+        return f"LazyResults(n={len(self._pairs)}, {state})"
 
 
 def _governance_payload(token) -> Optional[dict]:
@@ -620,8 +604,8 @@ def _note_pool_fallback(span, exc: Exception) -> None:
 # ----------------------------------------------------------------------
 def execute_parallel(
     entry: RegistryEntry,
-    x_tuples: Sequence[TemporalTuple],
-    y_tuples: Optional[Sequence[TemporalTuple]] = None,
+    x_tuples: Union[Sequence[TemporalTuple], IntervalColumns],
+    y_tuples: Union[Sequence[TemporalTuple], IntervalColumns, None] = None,
     shards: int = 2,
     workers: Optional[int] = None,
     backend: str = "tuple",
@@ -655,6 +639,13 @@ def execute_parallel(
     of the valid modes, overrides ``mode`` — CI uses it to force the
     process path on single-CPU runners where ``auto`` would stay
     inline.
+
+    Operands given as :class:`~repro.columnar.relation.IntervalColumns`
+    (the query path) make ``results`` an
+    :class:`~repro.columnar.pairs.IndexPairs` of positions into them:
+    process mode concatenates the shards' index chunks plus bases and
+    builds no tuple at all; inline shards run on the columns' position
+    tuples and read the positions back once.
     """
     env_mode = os.environ.get("REPRO_PARALLEL_MODE")
     if env_mode in EXECUTION_MODES:
@@ -665,9 +656,24 @@ def execute_parallel(
             f"{EXECUTION_MODES}"
         )
     report = report if report is not None else ExecutionReport()
-    x_list = list(x_tuples)
-    y_list = list(y_tuples) if y_tuples is not None else None
+    x_cols: Optional[IntervalColumns] = None
+    y_cols: Optional[IntervalColumns] = None
+    x_list: Optional[list] = None
+    y_list: Optional[list] = None
+    if isinstance(x_tuples, IntervalColumns):
+        x_cols = x_tuples
+        y_cols = y_tuples if isinstance(y_tuples, IntervalColumns) else None
+        x_count = len(x_cols)
+    else:
+        x_list = list(x_tuples)
+        y_list = list(y_tuples) if y_tuples is not None else None
+        x_count = len(x_list)
+    indexed = x_cols is not None
     unary = entry.operator in SELF_OPERATORS
+    if not unary and y_tuples is None:
+        raise ExecutionError(
+            f"{entry.operator.value} is binary; y_tuples is required"
+        )
 
     tracer = get_tracer()
     with tracer.span(
@@ -686,24 +692,21 @@ def execute_parallel(
             and (workers is None or workers > 1)
             and _available_cpus() > 1
         )
-        if want_process and x_list:
-            x_cols = IntervalColumns.from_tuples(
-                x_list, order=entry.x_order, presorted=True, name="X"
-            )
-            y_cols = (
-                IntervalColumns.from_tuples(
-                    y_list or [],
-                    order=entry.y_order,
-                    presorted=True,
-                    name="Y",
+        if want_process and x_count:
+            if x_cols is None:
+                x_cols = IntervalColumns.from_tuples(
+                    x_list or [], order=entry.x_order, presorted=True,
+                    name="X",
                 )
-                if not unary
-                else None
-            )
-            if not unary and y_list is None:
-                raise ExecutionError(
-                    f"{entry.operator.value} is binary; y_tuples is "
-                    "required"
+                y_cols = (
+                    IntervalColumns.from_tuples(
+                        y_list or [],
+                        order=entry.y_order,
+                        presorted=True,
+                        name="Y",
+                    )
+                    if not unary
+                    else None
                 )
             plan = plan_ranges(
                 entry,
@@ -752,6 +755,9 @@ def execute_parallel(
                     _note_pool_fallback(span, exc)
                     runs = None
         if runs is None:
+            if x_cols is not None and x_list is None:
+                x_list = x_cols.to_tuples()
+                y_list = y_cols.to_tuples() if y_cols is not None else None
             plan = partition(entry, x_list, y_list, shards=shards)
             effective_workers = max(
                 1,
@@ -777,12 +783,14 @@ def execute_parallel(
 
         eager: list = []
         chunks: List[tuple] = []
+        joined = _shape_of(entry.operator) == "join"
         shard_runs: List[ShardRun] = []
         metrics = _fresh_metrics()
         residual_total = 0
         for run in sorted(runs, key=lambda r: r["index"]):
             if effective_mode == "process":
-                chunks.append(run["chunk"])
+                _kind, first, second, x_base, y_base = run["chunk"]
+                chunks.append((first, second, x_base, y_base))
             else:
                 eager.extend(run["results"])
             _merge_report(report, run["report"])
@@ -800,11 +808,16 @@ def execute_parallel(
                     run=run,
                     parallel_span=span,
                 )
-        results: Sequence = (
-            LazyResults(x_list, y_list, chunks)
-            if effective_mode == "process"
-            else eager
-        )
+        results: Union[Sequence, IndexPairs]
+        if effective_mode == "process":
+            pairs = IndexPairs.concat(chunks, joined)
+            results = (
+                pairs if indexed else LazyResults(x_list, y_list, pairs)
+            )
+        else:
+            results = (
+                IndexPairs.from_results(eager, joined) if indexed else eager
+            )
         metrics.output_count = len(results)
         metrics.resilience = report.as_dict()
         span.set(

@@ -9,6 +9,7 @@ from .histograms import (
 from .estimators import (
     TemporalStatistics,
     collect_statistics,
+    column_statistics,
     estimate_contain_join_workspace,
     estimate_overlap_join_workspace,
     estimate_selectivity_contain,
@@ -20,6 +21,7 @@ __all__ = [
     "TemporalStatistics",
     "build_histogram",
     "collect_statistics",
+    "column_statistics",
     "estimate_contain_join_workspace",
     "estimate_overlap_join_workspace",
     "estimate_overlap_pairs",

@@ -20,9 +20,9 @@ module provides exactly those estimators:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Sequence
 
-from ..model.interval import ends_after, starts_before
 from ..model.relation import TemporalRelation
 from ..model.tuples import TemporalTuple
 
@@ -63,31 +63,35 @@ def collect_statistics(
     tuples: Iterable[TemporalTuple] | TemporalRelation,
 ) -> TemporalStatistics:
     """Gather :class:`TemporalStatistics` in one pass over the data."""
-    starts: list[int] = []
-    durations: list[int] = []
-    span_start: int | None = None
-    span_end: int | None = None
-    for tup in tuples:
-        starts.append(tup.valid_from)
-        durations.append(tup.duration)
-        if span_start is None or starts_before(tup, span_start):
-            span_start = tup.valid_from
-        if span_end is None or ends_after(tup, span_end):
-            span_end = tup.valid_to
+    materialised = list(tuples)
+    return column_statistics(
+        [t.valid_from for t in materialised],
+        [t.valid_to for t in materialised],
+    )
+
+
+def column_statistics(
+    starts: Sequence[int], ends: Sequence[int]
+) -> TemporalStatistics:
+    """:class:`TemporalStatistics` of parallel ``ValidFrom``/``ValidTo``
+    endpoint columns (e.g. :class:`~repro.columnar.relation.
+    IntervalColumns`), from C-level reductions.  Only the extreme
+    starts enter the mean gap (see :func:`mean_inter_arrival`), so
+    nothing is sorted."""
     cardinality = len(starts)
     if cardinality == 0:
         return TemporalStatistics(0, 0.0, 0.0, 0.0, 0, 0, 0)
-    starts.sort()
-    inter = mean_inter_arrival(starts)
+    first, last = min(starts), max(starts)
+    inter = (last - first) / (cardinality - 1) if cardinality > 1 else 0.0
     rate = 1.0 / inter if inter > 0 else float(cardinality)
     return TemporalStatistics(
         cardinality=cardinality,
         mean_inter_arrival=inter,
         arrival_rate=rate,
-        mean_duration=sum(durations) / cardinality,
-        max_duration=max(durations),
-        span_start=span_start if span_start is not None else 0,
-        span_end=span_end if span_end is not None else 0,
+        mean_duration=(sum(ends) - sum(starts)) / cardinality,
+        max_duration=max(map(sub, ends, starts)),
+        span_start=first,
+        span_end=max(ends),
     )
 
 

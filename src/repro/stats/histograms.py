@@ -24,7 +24,7 @@ cheap enough to piggyback on any scan, answering the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..model.relation import TemporalRelation
 from ..model.tuples import TemporalTuple
@@ -84,33 +84,42 @@ def build_histogram(
     buckets: int = 32,
 ) -> TemporalHistogram:
     """One-pass equi-width histogram over a temporal relation."""
+    materialised = list(tuples)
+    return endpoint_histogram(
+        [t.valid_from for t in materialised],
+        [t.valid_to for t in materialised],
+        buckets,
+    )
+
+
+def endpoint_histogram(
+    starts: Sequence[int], ends: Sequence[int], buckets: int = 32
+) -> TemporalHistogram:
+    """:func:`build_histogram` over parallel ``ValidFrom``/``ValidTo``
+    endpoint columns."""
     if buckets < 1:
         raise ValueError("need at least one bucket")
-    materialised = list(tuples)
-    if not materialised:
+    if not len(starts):
         return TemporalHistogram(0, 0, (0,) * buckets, (0,) * buckets)
-    lo = min(t.valid_from for t in materialised)
-    hi = max(t.valid_to for t in materialised)
+    lo = min(starts)
+    hi = max(ends)
     span = max(1, hi - lo)
     width = span / buckets
-    starts = [0] * buckets
+    start_counts = [0] * buckets
     coverage = [0] * buckets
-    for tup in materialised:
-        start_bucket = min(buckets - 1, int((tup.valid_from - lo) / width))
-        starts[start_bucket] += 1
+    for valid_from, valid_to in zip(starts, ends):
+        first = min(buckets - 1, int((valid_from - lo) / width))
+        start_counts[first] += 1
         # Distribute the lifespan's coverage across the buckets it
         # touches.
-        first = min(buckets - 1, int((tup.valid_from - lo) / width))
-        last = min(buckets - 1, int((tup.valid_to - 1 - lo) / width))
+        last = min(buckets - 1, int((valid_to - 1 - lo) / width))
         for bucket in range(first, last + 1):
             bucket_lo = lo + bucket * width
             bucket_hi = lo + (bucket + 1) * width
-            covered = min(tup.valid_to, bucket_hi) - max(
-                tup.valid_from, bucket_lo
-            )
+            covered = min(valid_to, bucket_hi) - max(valid_from, bucket_lo)
             if covered > 0:
                 coverage[bucket] += int(round(covered))
-    return TemporalHistogram(lo, hi, tuple(starts), tuple(coverage))
+    return TemporalHistogram(lo, hi, tuple(start_counts), tuple(coverage))
 
 
 def estimate_overlap_pairs(

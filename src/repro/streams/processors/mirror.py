@@ -54,6 +54,9 @@ def mirror_stream(stream: TupleStream) -> TupleStream:
         recovery=stream.recovery,
         report=stream.report,
     )
+    if stream.columns is not None:
+        # Batch backends sweep the reversed endpoint columns directly.
+        mirrored.columns = stream.columns.mirrored()
     return mirrored
 
 
@@ -110,6 +113,14 @@ class MirroredProcessor:
 
     def run(self) -> list:
         return list(self)
+
+    def run_indexed(self):
+        """The inner batch processor's
+        :class:`~repro.columnar.pairs.IndexPairs`: time reversal moves
+        no position, so only a transposed operand pair is swapped
+        back."""
+        pairs = self.inner.run_indexed()
+        return pairs.swapped() if self._swap else pairs
 
     @property
     def metrics(self) -> ProcessorMetrics:

@@ -16,7 +16,7 @@ A stream is "an ordered sequence of data objects".  A
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from ..errors import ExecutionError, StreamOrderError, StreamStateError
 from ..governance.budget import active_token
@@ -29,6 +29,9 @@ from ..obs.trace import get_tracer
 from ..resilience.recovery import ExecutionReport, RecoveryPolicy
 from ..storage.heap_file import HeapFile
 from ..storage.iostats import IOStats
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from ..columnar.relation import IntervalColumns
 
 
 def _tuple_valid(tup: TemporalTuple) -> bool:
@@ -84,6 +87,9 @@ class TupleStream:
         self._previous: Optional[TemporalTuple] = None
         self._exhausted = False
         self._started = False
+        #: The endpoint columns behind a :meth:`from_columns` stream,
+        #: which the batch backends read directly.
+        self.columns: Optional["IntervalColumns"] = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -127,6 +133,29 @@ class TupleStream:
             recovery=recovery,
             report=report,
         )
+
+    @classmethod
+    def from_columns(
+        cls,
+        columns: "IntervalColumns",
+        name: str = "stream",
+        recovery: RecoveryPolicy = RecoveryPolicy.STRICT,
+        report: Optional[ExecutionReport] = None,
+    ) -> "TupleStream":
+        """A stream over :class:`~repro.columnar.relation.IntervalColumns`
+        in their declared order.  The batch backends drain the columns
+        as they are (one counted pass); a tuple-at-a-time reader gets
+        payload-free tuples whose surrogate is their column position,
+        built as it reads."""
+        stream = cls(
+            columns.iter_tuples,
+            order=columns.order,
+            name=name,
+            recovery=recovery,
+            report=report,
+        )
+        stream.columns = columns
+        return stream
 
     @classmethod
     def from_heap_file(

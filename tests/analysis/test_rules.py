@@ -38,6 +38,7 @@ EXPECTED = {
     ("REP003", "parallel/rep003_violation.py", 20),
     ("REP003", "governance/rep003_violation.py", 7),
     ("REP004", "columnar/kernels.py", 4),
+    ("REP004", "columnar/rep004_sweep.py", 5),
     ("REP004", "streams/rep004_violation.py", 5),
     ("REP005", "obs/rep005_violation.py", 5),
     ("REP005", "obs/rep005_violation.py", 11),
@@ -86,7 +87,7 @@ def test_corpus_produces_exactly_the_expected_findings(corpus_report):
     # The two REP003 findings on line 16 collapse in a set; compare
     # multiset cardinality separately.
     assert got == EXPECTED
-    assert len(corpus_report.findings) == 36
+    assert len(corpus_report.findings) == 37
     assert not corpus_report.parse_errors
 
 

@@ -14,8 +14,16 @@ from repro.errors import (
     BudgetExceededError,
     DeadlineExceededError,
 )
-from repro.governance import AdmissionController, QueryBudget, active_token
+from repro.columnar import IntervalColumns
+from repro.governance import (
+    AdmissionController,
+    QueryBudget,
+    active_token,
+    governed,
+)
+from repro.optimizer import TemporalJoinPlanner
 from repro.query import run_query
+from repro.streams import TemporalOperator
 from repro.workload import PoissonWorkload, fixed_duration
 
 DURING_QUERY = (
@@ -94,6 +102,41 @@ class TestBudget:
     def test_ungoverned_result_has_no_governance(self):
         result = run_query(DURING_QUERY, catalog(), streams=True)
         assert result.governance is None
+
+
+class TestColumnPath:
+    """The column-native stream join keeps governance typed on every
+    backend: checkpoints at the batch passes, the workspace cap charged
+    from the kernels' (or the meter's) high-water mark."""
+
+    BACKENDS = ["tuple", "columnar", "fused"]
+
+    @staticmethod
+    def columns():
+        cat = catalog()
+        return (
+            IntervalColumns.from_tuples(cat["Y"].tuples, name="Y"),
+            IntervalColumns.from_tuples(cat["X"].tuples, name="X"),
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_expired_deadline_raises(self, backend):
+        containing, contained = self.columns()
+        with governed(deadline=0.0):
+            with pytest.raises(DeadlineExceededError):
+                TemporalJoinPlanner(backend=backend).execute_columns(
+                    TemporalOperator.CONTAIN_JOIN, containing, contained
+                )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_workspace_cap_breach_is_typed(self, backend):
+        containing, contained = self.columns()
+        with governed(budget=QueryBudget(workspace_tuple_cap=1)):
+            with pytest.raises(BudgetExceededError) as info:
+                TemporalJoinPlanner(backend=backend).execute_columns(
+                    TemporalOperator.CONTAIN_JOIN, containing, contained
+                )
+        assert info.value.resource == "workspace"
 
 
 class TestAdmission:

@@ -169,3 +169,14 @@ class TestSetConstructions:
     def test_span_contains_union_points(self, x, y):
         span = x.span(y)
         assert set(x.points()) | set(y.points()) <= set(span.points())
+
+
+class TestFirstInvalidLifespan:
+    def test_column_form_of_the_validity_constraint(self):
+        from repro.model.interval import first_invalid_lifespan
+
+        assert first_invalid_lifespan([0, 3, 5], [1, 4, 9]) is None
+        assert first_invalid_lifespan([], []) is None
+        # Zero-length [5, 5) and reversed [7, 2) both violate TS < TE.
+        assert first_invalid_lifespan([0, 5, 7], [1, 5, 2]) == 1
+        assert first_invalid_lifespan([0, 1, 7], [1, 5, 2]) == 2

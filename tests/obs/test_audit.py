@@ -76,6 +76,33 @@ class TestRecordConstruction:
         )
 
 
+    def test_record_names_the_backend_that_ran(self):
+        result = run_query(DURING_QUERY, catalog(), streams=True)
+        (info,) = result.stream_joins
+        # run_query(streams=True) cost-picks the backend.
+        assert info.backend == "columnar"
+        assert f"({info.backend})" in info.chosen
+        record = build_record(DURING_QUERY, result=result)
+        assert record["backend"] == info.backend
+        assert record["stream_joins"][0]["backend"] == info.backend
+        assert validate_record(record) == []
+
+    def test_tuple_reference_backend_is_recorded(self):
+        from repro.algebra import optimize
+        from repro.optimizer import TemporalJoinPlanner, execute_hybrid
+        from repro.query import parse_query, translate
+
+        cat = catalog()
+        execution = execute_hybrid(
+            optimize(translate(parse_query(DURING_QUERY), cat)),
+            cat,
+            planner=TemporalJoinPlanner(backend="tuple"),
+        )
+        (info,) = execution.stream_joins
+        assert info.backend == "tuple"
+        assert info.chosen.startswith("stream[")
+
+
 class TestValidation:
     def base(self):
         result = run_query(DURING_QUERY, catalog(), streams=True)

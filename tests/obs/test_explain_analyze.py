@@ -66,6 +66,39 @@ class TestRunQueryTrace:
         assert traced.rows == plain.rows
 
 
+class TestColumnPathGates:
+    @pytest.mark.parametrize("backend", ["tuple", "columnar", "fused"])
+    def test_single_scan_and_trace_neutrality_on_every_backend(
+        self, backend
+    ):
+        """EXPLAIN ANALYZE's single-scan gate reads one pass per side on
+        each backend of the query path, and tracing changes no row."""
+        from repro.algebra import optimize
+        from repro.obs.trace import set_tracer
+        from repro.optimizer import TemporalJoinPlanner, execute_hybrid
+        from repro.query import parse_query, translate
+
+        cat = catalog()
+        plan = optimize(translate(parse_query(DURING_QUERY), cat))
+        planner = TemporalJoinPlanner(backend=backend)
+        untraced = execute_hybrid(plan, cat, planner=planner)
+        tracer = Tracer("gate")
+        previous = set_tracer(tracer)
+        try:
+            with tracer.span("query"):
+                traced = execute_hybrid(plan, cat, planner=planner)
+        finally:
+            set_tracer(previous)
+        assert traced.rows == untraced.rows
+        (info,) = traced.stream_joins
+        assert info.backend == backend
+        summaries = operator_summaries(tracer)
+        assert summaries
+        for summary in summaries:
+            assert summary["passes_x"] == summary["passes_y"] == 1
+        assert single_scan_violations(tracer) == []
+
+
 class TestRendering:
     @pytest.fixture()
     def traced(self):

@@ -1,13 +1,22 @@
 """Tests for hybrid execution: stream algorithms inside declarative
 query plans."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import LJoin, compile_plan, optimize
-from repro.optimizer import execute_hybrid, recognize_stream_join
+from repro.model import TemporalRelation, TemporalSchema, TemporalTuple
+from repro.optimizer import (
+    CostModel,
+    TemporalJoinPlanner,
+    execute_hybrid,
+    recognize_stream_join,
+)
 from repro.query import parse_query, run_query, translate
+from repro.resilience import RecoveryPolicy
 from repro.streams import TemporalOperator
 from repro.workload import PoissonWorkload, fixed_duration
 
@@ -28,6 +37,63 @@ def plan_for(text, cat):
 
 def first_join(plan):
     return next(node for node in plan.walk() if isinstance(node, LJoin))
+
+
+#: Small lifespans on a short time line: endpoint ties everywhere.
+TIED_SPANS = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(1, 3)), max_size=7
+)
+
+#: The recognised operators, plus one spelled-out inequality whose
+#: projection prunes an endpoint on each side.
+DIFFERENTIAL_PREDICATES = (
+    "a during b",
+    "a contains b",
+    "a overlap b",
+    "a before b",
+    "a after b",
+    "a.ValidTo < b.ValidFrom",
+)
+
+
+def spans_relation(name, spans):
+    """Tuples ``[start, start + length)``; values repeat so the row
+    multiset carries duplicates."""
+    return TemporalRelation(
+        TemporalSchema(name, "Id", "Seq"),
+        [
+            TemporalTuple(f"{name}{i}", i % 3, start, start + length)
+            for i, (start, length) in enumerate(spans)
+        ],
+    )
+
+
+class StreamsWinCostModel(CostModel):
+    """Prices the nested loop out, so that the differential's tiny
+    inputs still run every stream alternative (Before/After have no
+    stream cell and keep the nested loop)."""
+
+    def nested_loop_cost(self, outer, inner):
+        return float("inf")
+
+
+def differential_planner(backend, mode):
+    """A planner on ``backend``; with a ``mode``, a 2-way parallel one
+    whose cost model makes shards cheap enough to win on tiny inputs."""
+    if mode is None:
+        return TemporalJoinPlanner(
+            backend=backend, cost_model=StreamsWinCostModel()
+        )
+    return TemporalJoinPlanner(
+        backend=backend,
+        parallelism=2,
+        parallel_mode=mode,
+        cost_model=StreamsWinCostModel(
+            page_capacity=1,
+            parallel_worker_startup=0.0,
+            parallel_tuple_ship=0.0,
+        ),
+    )
 
 
 DURING_QUERY = (
@@ -161,18 +227,79 @@ class TestHybridExecution:
         assert sorted(hybrid.rows) == sorted(conventional)
 
     @settings(max_examples=10, deadline=None)
-    @given(st.integers(min_value=0, max_value=500))
-    def test_equivalence_on_random_inputs(self, seed):
-        cat = catalog(seed_offset=seed, n=40)
-        for operator_text in ("during", "overlap", "before"):
+    @given(xs=TIED_SPANS, ys=TIED_SPANS)
+    def test_equivalence_on_random_inputs(self, xs, ys):
+        """Query-level differential: every recognised operator, every
+        planner backend, serial and 2-way inline/process shards, and
+        each recovery mode give the conventional engine's row multiset
+        on small relations crowded with endpoint ties."""
+        cat = {"X": spans_relation("X", xs), "Y": spans_relation("Y", ys)}
+        for where in DIFFERENTIAL_PREDICATES:
             plan = plan_for(
                 "range of a is X range of b is Y "
-                f"retrieve (A = a.Seq, B = b.Seq) where a {operator_text} b",
+                f"retrieve (A = a.Seq, B = b.Seq) where {where}",
                 cat,
             )
-            hybrid = execute_hybrid(plan, cat)
-            conventional = compile_plan(plan, cat).run()
-            assert sorted(hybrid.rows) == sorted(conventional)
+            expected = Counter(compile_plan(plan, cat).run())
+            for backend in ("tuple", "columnar", "fused", "auto"):
+                for mode in (None, "inline", "process"):
+                    for recovery in (
+                        None,
+                        RecoveryPolicy.STRICT,
+                        RecoveryPolicy.QUARANTINE,
+                    ):
+                        hybrid = execute_hybrid(
+                            plan,
+                            cat,
+                            planner=differential_planner(backend, mode),
+                            recovery=recovery,
+                        )
+                        case = (where, backend, mode, recovery)
+                        assert Counter(hybrid.rows) == expected, case
+                        (info,) = hybrid.stream_joins
+                        assert info.chosen.startswith("nested-loop") == (
+                            info.operator is TemporalOperator.BEFORE_JOIN
+                        ), case
+
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    @pytest.mark.parametrize("backend", ["tuple", "columnar", "fused", "auto"])
+    def test_differential_planner_shards(self, backend, mode):
+        """The parallel configurations of the differential above really
+        shard (in the requested mode) once the inputs are not tiny."""
+        cat = catalog(n=60)
+        plan = plan_for(DURING_QUERY, cat)
+        expected = Counter(compile_plan(plan, cat).run())
+        for recovery in (None, RecoveryPolicy.QUARANTINE):
+            hybrid = execute_hybrid(
+                plan,
+                cat,
+                planner=differential_planner(backend, mode),
+                recovery=recovery,
+            )
+            assert Counter(hybrid.rows) == expected
+            (info,) = hybrid.stream_joins
+            assert info.parallel is not None
+            assert info.parallel["plan"]["mode"] == mode
+
+    def test_pruned_endpoint_is_synthesised(self):
+        """Before/After read one endpoint per side, so projection
+        pushdown prunes the other before the join; the bridge
+        synthesises it."""
+        cat = {
+            "X": spans_relation("X", [(0, 2), (3, 1), (3, 2)]),
+            "Y": spans_relation("Y", [(2, 1), (5, 3)]),
+        }
+        plan = plan_for(
+            "range of a is X range of b is Y "
+            "retrieve (A = a.Seq, B = b.Seq) where a.ValidTo < b.ValidFrom",
+            cat,
+        )
+        join = first_join(plan)
+        assert "a.ValidFrom" not in join.left.schema().attributes
+        assert "b.ValidTo" not in join.right.schema().attributes
+        hybrid = execute_hybrid(plan, cat)
+        assert Counter(hybrid.rows) == Counter(compile_plan(plan, cat).run())
+        assert hybrid.rows
 
 
 class TestRunQueryStreams:

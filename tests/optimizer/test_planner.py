@@ -276,3 +276,92 @@ class TestWorkspaceBudgetFallback:
         assert profile.chosen.entry.state_class in ("c", "d")
         if profile.chosen.entry.state_class == "d":
             assert profile.metrics.workspace_high_water == 0
+
+
+class TestAutoBackendChoice:
+    """``CostModel``'s backend factors are fitted on end-to-end query
+    timings (the numbers are quoted in ``repro/optimizer/cost.py``); on
+    the benchmark's workload shapes the cost-based choice must be the
+    backend that measured fastest there: the columnar kernel."""
+
+    MEASURED_WINNER = "columnar"
+
+    @staticmethod
+    def fig5_shaped(n=2000):
+        x = PoissonWorkload(n, 0.5, fixed_duration(10), name="X").generate(1)
+        y = PoissonWorkload(n, 0.5, fixed_duration(40), name="Y").generate(2)
+        # "x during y" runs as Contain-join(Y, X).
+        return TemporalOperator.CONTAIN_JOIN, y, x
+
+    @staticmethod
+    def tab2_shaped_shuffled(n=4000):
+        import random
+
+        from repro.model import TemporalRelation
+        from repro.workload import uniform_duration
+
+        rng = random.Random(3)
+        relations = []
+        for name, seed in (("X", 1), ("Y", 2)):
+            generated = PoissonWorkload(
+                n, 0.2, uniform_duration(1, 3), name=name
+            ).generate(seed)
+            tuples = list(generated.tuples)
+            rng.shuffle(tuples)
+            relations.append(TemporalRelation(generated.schema, tuples))
+        return (TemporalOperator.OVERLAP_JOIN, *relations)
+
+    @pytest.mark.parametrize("shape", ["fig5_shaped", "tab2_shaped_shuffled"])
+    @pytest.mark.parametrize("parallelism", [None, 2])
+    def test_auto_picks_the_measured_winner(self, shape, parallelism):
+        operator, x, y = getattr(self, shape)()
+        planner = TemporalJoinPlanner(backend="auto", parallelism=parallelism)
+        chosen = planner.choose(operator, x, y)
+        assert chosen.backend == self.MEASURED_WINNER
+        assert chosen.kind in ("stream", "parallel-stream")
+
+    def test_fitted_factors_rank_the_backends(self):
+        model = CostModel()
+        assert (
+            model.backend_cpu_factor("columnar")
+            < model.backend_cpu_factor("fused")
+            < model.backend_cpu_factor("tuple")
+        )
+
+
+class TestColumnPath:
+    @pytest.mark.parametrize("backend", ["columnar", "fused"])
+    def test_mirrored_cell_sweeps_columns_without_tuples(
+        self, backend, monkeypatch
+    ):
+        """A lower-half (time-reversed) cell on a batch backend runs on
+        reversed endpoint columns: no tuple is built, and the positions
+        match the upper-half plan's."""
+        from repro.columnar import IntervalColumns
+        from repro.model import TE_DESC, TemporalTuple
+
+        x = make_relation(200, duration=30, name="X")
+        y = make_relation(200, duration=6, name="Y", seed=2)
+        x_cols = IntervalColumns.from_tuples(x.tuples).sorted_by(TE_DESC)
+        y_cols = IntervalColumns.from_tuples(y.tuples).sorted_by(TE_DESC)
+        built = []
+        original = TemporalTuple.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(TemporalTuple, "__post_init__", counting)
+        pairs, profile = TemporalJoinPlanner(backend=backend).execute_columns(
+            TemporalOperator.CONTAIN_JOIN, x_cols, y_cols
+        )
+        monkeypatch.undo()
+        assert profile.chosen.entry.mirrored
+        assert built == []
+        expected = sorted(
+            (i, j)
+            for i, a in enumerate(x.tuples)
+            for j, b in enumerate(y.tuples)
+            if contain_predicate(a, b)
+        )
+        assert sorted(zip(pairs.xi, pairs.yj)) == expected

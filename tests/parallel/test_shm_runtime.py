@@ -9,8 +9,9 @@ import time
 
 import pytest
 
+from repro.columnar import IndexPairs, IntervalColumns
 from repro.errors import StorageFaultError
-from repro.model import TS_ASC, sort_tuples
+from repro.model import TS_ASC, TemporalTuple, sort_tuples
 from repro.obs.metrics import (
     MetricsRegistry,
     active_registry,
@@ -385,3 +386,77 @@ class TestLazyResults:
         assert len(results) == count == len(expected)
         left, right = results[0]
         assert left in xs and right in ys
+
+
+@pytest.fixture()
+def count_tuples(monkeypatch):
+    """Counts ``TemporalTuple`` constructions from here on."""
+    built = []
+    original = TemporalTuple.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(TemporalTuple, "__post_init__", counting)
+    return built
+
+
+@pytest.fixture()
+def no_payload_materialisation(monkeypatch):
+    """Fails the test if anything gathers merged shard results into
+    payload tuples."""
+
+    def refuse(self):
+        raise AssertionError("payload pairs were materialised")
+
+    monkeypatch.setattr(LazyResults, "_materialised", refuse)
+
+
+class TestIndexPairResults:
+    """The lazy-result gate, carried over to the column path: process
+    shards come back as index columns whose count is known without
+    building a single payload tuple."""
+
+    def test_len_is_free_and_positions_gather_to_the_serial_result(
+        self, count_tuples
+    ):
+        entry = contain_entry()
+        xs, ys = inputs()
+        expected = canon(serial_run(entry, xs, ys, "columnar"))
+        x_cols = IntervalColumns.from_tuples(xs, order=TS_ASC)
+        y_cols = IntervalColumns.from_tuples(ys, order=TS_ASC)
+        del count_tuples[:]
+        outcome = execute_parallel(
+            entry,
+            x_cols,
+            y_cols,
+            shards=2,
+            workers=2,
+            backend="columnar",
+            mode="process",
+        )
+        assert outcome.mode == "process"
+        results = outcome.results
+        assert isinstance(results, IndexPairs)
+        assert len(results) == len(expected)
+        assert count_tuples == []  # len() needed no tuple, nor did the run
+        assert canon(results.gather(xs, ys)) == expected
+
+    def test_process_query_never_materialises_payload_pairs(
+        self, monkeypatch, count_tuples, no_payload_materialisation
+    ):
+        from repro.query import run_query
+
+        from ..optimizer.test_integration import DURING_QUERY, catalog
+
+        monkeypatch.setenv("REPRO_PARALLEL_MODE", "process")
+        cat = catalog(n=150)
+        expected = run_query(DURING_QUERY, cat).rows
+        del count_tuples[:]
+        result = run_query(DURING_QUERY, cat, streams=True, parallelism=2)
+        (info,) = result.stream_joins
+        assert info.parallel is not None
+        assert info.parallel["plan"]["mode"] == "process"
+        assert sorted(result.rows) == sorted(expected)
+        assert count_tuples == []

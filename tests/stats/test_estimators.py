@@ -137,3 +137,22 @@ class TestWorkspacePrediction:
             collect_statistics(x_rel), collect_statistics(y_rel)
         )
         assert estimate > 0
+
+
+class TestColumnStatistics:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-50, 50), st.integers(1, 20)), max_size=30
+        )
+    )
+    def test_matches_the_tuple_collector(self, spans):
+        from repro.stats import column_statistics
+
+        tuples = [
+            TemporalTuple(i, None, start, start + length)
+            for i, (start, length) in enumerate(spans)
+        ]
+        assert column_statistics(
+            [t.valid_from for t in tuples], [t.valid_to for t in tuples]
+        ) == collect_statistics(tuples)
