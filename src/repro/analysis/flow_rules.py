@@ -365,6 +365,7 @@ _GOVERNED_FUNCTIONS: Sequence[Tuple[str, Tuple[str, ...]]] = (
     ("parallel/pool.py", ("_collect",)),
     ("parallel/worker.py", ("_run_kernel",)),
     ("parallel/shm.py", ("write_result", "read_result")),
+    ("relational/operators/joins.py", ("_sweep",)),
 )
 
 

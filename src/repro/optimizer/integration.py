@@ -7,7 +7,10 @@ frontend, it recognises joins whose predicate *is* a temporal operator
 over two range variables, evaluates those joins with the registry's
 stream algorithms via the cost-based
 :class:`~repro.optimizer.planner.TemporalJoinPlanner`, and evaluates
-everything else conventionally.
+everything else conventionally — except that a join left with a
+cross-side endpoint inequality and no hash-joinable equality is swept
+(:class:`~repro.relational.operators.SweepInequalityJoin`), not
+nested-looped.
 
 Recognition reuses the semantic layer: the join predicate's temporal
 conjuncts are matched against the thirteen Figure-2 constraints and the
@@ -48,10 +51,10 @@ from ..allen.symbolic import Comparison, Endpoint, EndpointKind
 from ..columnar.pairs import IndexPairs
 from ..columnar.relation import IntervalColumns
 from ..errors import PlanningError
-from ..relational.expressions import Compare
+from ..relational.expressions import And, Attr, Compare
 from ..relational.operators import EngineStats, Operator
 from ..relational.schema import Row, RowSchema
-from ..semantic.bridge import to_symbolic
+from ..semantic.bridge import endpoint_of, to_symbolic
 from ..semantic.inequality_graph import ImplicationGraph
 from ..semantic.recognize import GENERAL_OVERLAP, recognize_allen
 from ..streams.registry import TemporalOperator
@@ -107,6 +110,8 @@ class HybridExecution:
     #: The resilience report shared by all stream joins of this plan
     #: (``None`` when executed without a recovery policy).
     execution_report: Optional[object] = None
+    #: The physical plan that ran (``operator.explain()`` renders it).
+    operator: Optional[Operator] = None
 
 
 def recognize_stream_join(
@@ -216,6 +221,7 @@ def execute_hybrid(
     operator = _build(
         plan, catalog, stats, chooser, execution, recovery, report
     )
+    execution.operator = operator
     execution.rows = operator.run()
     return execution
 
@@ -278,9 +284,15 @@ def _build(
 
 def _conventional_join(plan: LJoin, left: Operator, right: Operator):
     """The conventional compiler's join selection, over already-built
-    (possibly hybrid) children."""
+    (possibly hybrid) children, plus the sweep: a join with no
+    hash-joinable equality but a cross-side endpoint inequality is
+    swept instead of nested-looped."""
     from ..algebra.physical import _splittable_equality
-    from ..relational.operators import HashEquiJoin, ThetaNestedLoopJoin
+    from ..relational.operators import (
+        HashEquiJoin,
+        SweepInequalityJoin,
+        ThetaNestedLoopJoin,
+    )
 
     equality = _splittable_equality(plan)
     if equality is not None:
@@ -288,7 +300,48 @@ def _conventional_join(plan: LJoin, left: Operator, right: Operator):
         return HashEquiJoin(
             left, right, left_attr, right_attr, residual=residual
         )
+    keys, rest = _sweep_keys(plan, left.schema, right.schema)
+    if keys:
+        residual = And.of(*rest) if rest else None
+        return SweepInequalityJoin(left, right, keys, residual=residual)
     return ThetaNestedLoopJoin(left, right, plan.predicate)
+
+
+def _sweep_keys(
+    plan: LJoin, left_schema: RowSchema, right_schema: RowSchema
+) -> tuple[list[Compare], list]:
+    """Split the join predicate into sweep keys — the first two
+    conjuncts, in conjunct order, that compare an endpoint attribute
+    of one side with an endpoint attribute of the other by ``<``,
+    ``<=``, ``>`` or ``>=`` — and the residual conjuncts."""
+    keys: list[Compare] = []
+    rest = []
+    for conjunct in plan.predicate.conjuncts():
+        if len(keys) < 2 and _is_sweep_key(
+            conjunct, left_schema, right_schema
+        ):
+            keys.append(conjunct)
+        else:
+            rest.append(conjunct)
+    return keys, rest
+
+
+def _is_sweep_key(
+    conjunct, left_schema: RowSchema, right_schema: RowSchema
+) -> bool:
+    if not (
+        isinstance(conjunct, Compare)
+        and conjunct.is_inequality
+        and isinstance(conjunct.left, Attr)
+        and isinstance(conjunct.right, Attr)
+        and endpoint_of(conjunct.left) is not None
+        and endpoint_of(conjunct.right) is not None
+    ):
+        return False
+    a, b = conjunct.left.name, conjunct.right.name
+    return (a in left_schema and b in right_schema) or (
+        b in left_schema and a in right_schema
+    )
 
 
 def _rebuild_node(plan, built_children) -> Operator:

@@ -17,6 +17,7 @@ from .joins import (
     HashEquiJoin,
     MergeEquiJoin,
     RowSemijoin,
+    SweepInequalityJoin,
     ThetaNestedLoopJoin,
 )
 from .scan import TableScan, temporal_scan
@@ -34,6 +35,7 @@ __all__ = [
     "RowSemijoin",
     "Select",
     "Sort",
+    "SweepInequalityJoin",
     "TableScan",
     "ThetaNestedLoopJoin",
     "UnaryOperator",

@@ -16,6 +16,7 @@ from repro.optimizer import (
     recognize_stream_join,
 )
 from repro.query import parse_query, run_query, translate
+from repro.relational import SweepInequalityJoin, ThetaNestedLoopJoin
 from repro.resilience import RecoveryPolicy
 from repro.streams import TemporalOperator
 from repro.workload import PoissonWorkload, fixed_duration
@@ -317,16 +318,122 @@ class TestRunQueryStreams:
         assert plain.stream_joins == []
 
     def test_superstar_with_streams_still_correct(self):
-        """The Superstar upper join spans three variables and must stay
-        conventional; the hybrid path must not break it."""
+        """The Superstar upper join spans three variables, so no stream
+        join takes it; with no hash-joinable equality left, the hybrid
+        path sweeps it instead of nested-looping it."""
+        from repro.superstar import SUPERSTAR_QUEL
+        from repro.workload import FacultyWorkload
+
+        faculty_count = 200
+        faculty = {
+            "Faculty": FacultyWorkload(
+                faculty_count=faculty_count,
+                continuous=True,
+                full_fraction=1.0,
+            ).generate(3)
+        }
+        hybrid = run_query(SUPERSTAR_QUEL, faculty, streams=True)
+        plain = run_query(SUPERSTAR_QUEL, faculty)
+        assert Counter(hybrid.rows) == Counter(plain.rows)
+        execution = execute_hybrid(hybrid.plan, faculty)
+        assert holds(execution.operator, SweepInequalityJoin)
+        assert not holds(execution.operator, ThetaNestedLoopJoin)
+        # Regression guard that the sweep really runs: the nested loop
+        # alone evaluates faculty_count**2 pairs here.
+        assert hybrid.stats.comparisons < faculty_count**2 / 5
+        assert plain.stats.comparisons > faculty_count**2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_superstar_streams_and_semantic_grid(self, seed):
+        """Streams on/off x semantic on/off give the conventional
+        engine's Superstar row multiset, duplicate witnesses included."""
         from repro.superstar import SUPERSTAR_QUEL
         from repro.workload import FacultyWorkload
 
         faculty = {
             "Faculty": FacultyWorkload(
-                faculty_count=30, continuous=True, full_fraction=1.0
-            ).generate(3)
+                faculty_count=40, continuous=True, full_fraction=1.0
+            ).generate(seed)
         }
-        hybrid = run_query(SUPERSTAR_QUEL, faculty, streams=True)
-        plain = run_query(SUPERSTAR_QUEL, faculty)
-        assert sorted(hybrid.rows) == sorted(plain.rows)
+        expected = Counter(run_query(SUPERSTAR_QUEL, faculty).rows)
+        assert expected
+        for streams in (False, True):
+            for semantic in (False, True):
+                result = run_query(
+                    SUPERSTAR_QUEL,
+                    faculty,
+                    streams=streams,
+                    semantic=semantic,
+                )
+                assert Counter(result.rows) == expected, (streams, semantic)
+
+    @settings(max_examples=15, deadline=None)
+    @given(xs=TIED_SPANS, ys=TIED_SPANS)
+    def test_unmapped_predicates_match_conventional(self, xs, ys):
+        """Allen predicates the stream planner does not map, and bare
+        endpoint inequalities, run on hash or sweep joins in the hybrid
+        path; they must give the conventional engine's rows."""
+        cat = {"X": spans_relation("X", xs), "Y": spans_relation("Y", ys)}
+        for where in UNMAPPED_PREDICATES:
+            query = (
+                "range of a is X range of b is Y "
+                f"retrieve (A = a.Seq, B = b.Seq) where {where}"
+            )
+            hybrid = run_query(query, cat, streams=True)
+            plain = run_query(query, cat, streams=False)
+            assert Counter(hybrid.rows) == Counter(plain.rows), where
+            assert hybrid.stream_joins == [], where
+
+    @pytest.mark.parametrize(
+        "where",
+        ["a overlaps b", "a overlappedby b", "a.ValidFrom < b.ValidTo"],
+    )
+    def test_inequality_joins_are_swept(self, where):
+        cat = catalog(n=40)
+        plan = plan_for(
+            "range of a is X range of b is Y "
+            f"retrieve (A = a.Seq, B = b.Seq) where {where}",
+            cat,
+        )
+        assert recognize_stream_join(first_join(plan)) is None
+        execution = execute_hybrid(plan, cat)
+        assert holds(execution.operator, SweepInequalityJoin)
+        assert Counter(execution.rows) == Counter(
+            compile_plan(plan, cat).run()
+        )
+
+
+#: Allen predicates without a stream-join cell, and endpoint
+#: inequalities that are no Figure-2 operator.
+UNMAPPED_PREDICATES = (
+    "a overlaps b",
+    "a overlappedby b",
+    "a starts b",
+    "a startedby b",
+    "a finishes b",
+    "a finishedby b",
+    "a meets b",
+    "a metby b",
+    "a equal b",
+    "a.ValidFrom < b.ValidFrom",
+    "a.ValidTo >= b.ValidTo",
+    "a.ValidFrom <= b.ValidTo and b.ValidFrom <= a.ValidTo",
+    "a.ValidFrom > b.ValidFrom and a.ValidTo < b.ValidTo "
+    "and a.Seq != b.Seq",
+)
+
+
+def holds(operator, kind):
+    """Does the physical plan rooted at ``operator`` contain a
+    ``kind`` node?"""
+    pending = [operator]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, kind):
+            return True
+        pending.extend(
+            getattr(node, name)
+            for name in ("child", "left", "right")
+            if hasattr(node, name)
+        )
+    return False
